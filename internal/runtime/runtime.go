@@ -9,8 +9,10 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"comp/internal/interp"
@@ -788,25 +790,26 @@ func (r *Runtime) offloadPipelined(op *interp.OffloadOp) error {
 	ready := engine.AllOf(r.sim, deps...)
 
 	dur := regionTime(r.mic, op.Work, r.micThreads)
+	label := pragmaLabel(op.Pragma)
 	var done *engine.Event
 	if op.Persist {
 		p := r.persist[op.Pragma]
 		if p == nil {
-			p = r.launcher.LaunchPersistent(pragmaLabel(op.Pragma))
+			p = r.launcher.LaunchPersistent(label)
 			r.persist[op.Pragma] = p
 		}
 		if done, err = r.runBlock(p, ready, "block", dur); err != nil {
 			return err
 		}
 	} else {
-		if done, err = r.launchKernel(ready, pragmaLabel(op.Pragma), dur); err != nil {
+		if done, err = r.launchKernel(ready, label, dur); err != nil {
 			return err
 		}
 	}
 	for _, br := range op.DevTouched {
 		r.kernelUses = append(r.kernelUses, interval{
 			buf:    br.Name,
-			label:  pragmaLabel(op.Pragma),
+			label:  label,
 			done:   done,
 			dur:    dur,
 			loByte: br.StartByte,
@@ -814,7 +817,7 @@ func (r *Runtime) offloadPipelined(op *interp.OffloadOp) error {
 		})
 	}
 
-	r.kernels = append(r.kernels, kernelRec{done: done, label: pragmaLabel(op.Pragma), work: op.Work})
+	r.kernels = append(r.kernels, kernelRec{done: done, label: label, work: op.Work})
 	outputs, err := r.submitOutputs(op.Specs, done)
 	if err != nil {
 		return err
@@ -857,11 +860,12 @@ func (r *Runtime) offloadSync(op *interp.OffloadOp) error {
 		return err
 	}
 	dur := regionTime(r.mic, op.Work, r.micThreads)
-	done, err := r.launchKernel(tail, pragmaLabel(op.Pragma)+"!sync", dur)
+	label := pragmaLabel(op.Pragma)
+	done, err := r.launchKernel(tail, label+"!sync", dur)
 	if err != nil {
 		return err
 	}
-	r.kernels = append(r.kernels, kernelRec{done: done, label: pragmaLabel(op.Pragma), work: op.Work})
+	r.kernels = append(r.kernels, kernelRec{done: done, label: label, work: op.Work})
 	tail, err = r.syncDMAs(op.Specs, interp.DirOut, pcie.DeviceToHost, done)
 	if err != nil {
 		return err
@@ -1127,7 +1131,12 @@ func truncateWarnings(warns []string) []string {
 		return warns
 	}
 	out := append([]string(nil), warns[:maxRaceWarnings]...)
-	return append(out, fmt.Sprintf("... and %d more", len(warns)-maxRaceWarnings))
+	return append(out, moreWarnings(len(warns)-maxRaceWarnings))
+}
+
+// moreWarnings is the final entry that stands in for n dropped warnings.
+func moreWarnings(n int) string {
+	return fmt.Sprintf("... and %d more", n)
 }
 
 // detectDeadlocks reports, after the simulation drained, any kernel or
@@ -1156,35 +1165,107 @@ func (r *Runtime) detectDeadlocks() []string {
 	return truncateWarnings(warns)
 }
 
+// raceUse is a fired kernel use in its buffer's bucket, which is sorted by
+// start. idx is its position in kernelUses, so warnings keep the order of an
+// all-pairs scan; reach is the latest end over this and every earlier use in
+// the bucket.
+type raceUse struct {
+	idx   int
+	start engine.Time
+	reach engine.Time
+}
+
 // detectRaces scans, after the simulation has run, for DMA writes into a
 // device buffer that overlap in simulated time with a kernel that touched
 // the same buffer. A correctly double-buffered pipeline never triggers
 // this: the prefetch always targets the buffer the kernel is NOT using.
+//
+// The scan is a sweep, not all-pairs: fired kernel uses are bucketed by
+// buffer and sorted by start with a prefix max of their ends. Each fired
+// write binary-searches its bucket for the uses that start before it ends
+// and skips those whose prefix max ends by its start, so a write no use
+// overlaps in time costs O(log K). Warnings come out in write order, then
+// kernelUses order, and only the ones that survive truncation are
+// formatted — the output is exactly what comparing every write with every
+// use would report.
 func (r *Runtime) detectRaces() []string {
-	var warns []string
-	for _, w := range r.bufWrites {
-		if !w.done.Fired() {
+	// Counting sort by buffer into one array: bucket b is
+	// uses[first[b]:first[b+1]], in kernelUses order — nearly start order,
+	// so the per-bucket sort is cheap.
+	slot := make(map[string]int)
+	first := []int{0}
+	for _, k := range r.kernelUses {
+		if !k.done.Fired() {
 			continue
 		}
-		ws, we := w.bounds()
-		for _, k := range r.kernelUses {
-			if k.buf != w.buf || !k.done.Fired() {
-				continue
-			}
-			// Disjoint byte ranges (Figure 5(b): prefetch into a different
-			// section of the same device array) are not a race.
-			if w.hiByte <= k.loByte || k.hiByte <= w.loByte {
-				continue
-			}
-			ks, ke := k.bounds()
-			if ws < ke && ks < we {
-				warns = append(warns, fmt.Sprintf(
-					"race on device buffer %q: transfer %s [%v,%v) overlaps kernel %s [%v,%v)",
-					w.buf, w.label, ws, we, k.label, ks, ke))
-			}
+		b, ok := slot[k.buf]
+		if !ok {
+			b = len(slot)
+			slot[k.buf] = b
+			first = append(first, 0)
+		}
+		first[b+1]++
+	}
+	for b := 1; b < len(first); b++ {
+		first[b] += first[b-1]
+	}
+	uses := make([]raceUse, first[len(first)-1])
+	next := append([]int(nil), first...)
+	for i, k := range r.kernelUses {
+		if !k.done.Fired() {
+			continue
+		}
+		b := slot[k.buf]
+		ks, ke := k.bounds()
+		uses[next[b]] = raceUse{idx: i, start: ks, reach: ke}
+		next[b]++
+	}
+	for b := 0; b+1 < len(first); b++ {
+		bucket := uses[first[b]:first[b+1]]
+		slices.SortFunc(bucket, func(x, y raceUse) int { return cmp.Compare(x.start, y.start) })
+		for i := 1; i < len(bucket); i++ {
+			bucket[i].reach = max(bucket[i].reach, bucket[i-1].reach)
 		}
 	}
-	return truncateWarnings(warns)
+
+	var warns []string
+	var hits []int
+	dropped := 0
+	for _, w := range r.bufWrites {
+		b, ok := slot[w.buf]
+		if !ok || !w.done.Fired() {
+			continue
+		}
+		bucket := uses[first[b]:first[b+1]]
+		ws, we := w.bounds()
+		hi := sort.Search(len(bucket), func(i int) bool { return bucket[i].start >= we })
+		lo := sort.Search(hi, func(i int) bool { return bucket[i].reach > ws })
+		hits = hits[:0]
+		for _, u := range bucket[lo:hi] {
+			k := &r.kernelUses[u.idx]
+			// Disjoint byte ranges (Figure 5(b): prefetch into a different
+			// section of the same device array) are not a race.
+			if _, ke := k.bounds(); ke > ws && w.loByte < k.hiByte && k.loByte < w.hiByte {
+				hits = append(hits, u.idx)
+			}
+		}
+		slices.Sort(hits)
+		for _, i := range hits {
+			if len(warns) == maxRaceWarnings {
+				dropped++
+				continue
+			}
+			k := r.kernelUses[i]
+			ks, ke := k.bounds()
+			warns = append(warns, fmt.Sprintf(
+				"race on device buffer %q: transfer %s [%v,%v) overlaps kernel %s [%v,%v)",
+				w.buf, w.label, ws, we, k.label, ks, ke))
+		}
+	}
+	if dropped > 0 {
+		warns = append(warns, moreWarnings(dropped))
+	}
+	return warns
 }
 
 // Result bundles a program execution with its simulated statistics and the

@@ -181,6 +181,14 @@ type stream struct {
 // Run executes every submitted request and returns the collected stats.
 // It must be called exactly once, after all Submits.
 func (s *Scheduler) Run() (SchedResult, error) {
+	res, _, err := s.run()
+	return res, err
+}
+
+// run is Run that also returns each request's drained runtime, indexed like
+// SchedStats.Requests, so tests can check the post-run analyses against the
+// intervals they scanned.
+func (s *Scheduler) run() (SchedResult, []*Runtime, error) {
 	s.mu.Lock()
 	reqs := append([]Request(nil), s.reqs...)
 	s.ran = true
@@ -197,7 +205,7 @@ func (s *Scheduler) Run() (SchedResult, error) {
 
 	shares, err := s.cfg.MIC.Partition(s.cfg.MICThreads, s.streams)
 	if err != nil {
-		return SchedResult{}, err
+		return SchedResult{}, nil, err
 	}
 
 	sim := engine.New()
@@ -265,15 +273,15 @@ func (s *Scheduler) Run() (SchedResult, error) {
 			after:      gate,
 		})
 		if err := req.Program.Reset(); err != nil {
-			return SchedResult{}, fmt.Errorf("request %q: %w", req.Label, err)
+			return SchedResult{}, nil, fmt.Errorf("request %q: %w", req.Label, err)
 		}
 		if req.Setup != nil {
 			if err := req.Setup(req.Program); err != nil {
-				return SchedResult{}, fmt.Errorf("request %q: %w", req.Label, err)
+				return SchedResult{}, nil, fmt.Errorf("request %q: %w", req.Label, err)
 			}
 		}
 		if err := req.Program.Run(rt); err != nil {
-			return SchedResult{}, fmt.Errorf("request %q: %w", req.Label, err)
+			return SchedResult{}, nil, fmt.Errorf("request %q: %w", req.Label, err)
 		}
 		rt.closeGraph()
 		st.tail = rt.hostTail
@@ -347,5 +355,5 @@ func (s *Scheduler) Run() (SchedResult, error) {
 		stats.KernelLaunches += ss.KernelLaunches
 		stats.FaultsInjected += ss.FaultsInjected
 	}
-	return SchedResult{Stats: stats, Trace: sim.Trace()}, nil
+	return SchedResult{Stats: stats, Trace: sim.Trace()}, rts, nil
 }
