@@ -55,7 +55,8 @@ common flags (run/verify/trace/sched/show):
   -file path       a scenario JSON file instead of a built-in
   -seed n          trace seed (default 1)
   -json path       write the machine-readable result to path ("-" = stdout)
-  -exec engine     MiniC execution engine: vm (default), interp, or columnar
+  -exec engine     MiniC execution engine where the scenario sets no exec:
+                   vm (default), interp, or columnar
 `
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -118,11 +119,11 @@ func parseOpts(cmd string, args []string, stderr io.Writer) (*cmdOpts, error) {
 	file := fs.String("file", "", "scenario JSON file")
 	seed := fs.Int64("seed", 1, "trace seed")
 	jsonOut := fs.String("json", "", "write machine-readable result to path (\"-\" = stdout)")
-	exec := fs.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	exec := fs.String("exec", vm.ExecVM, "MiniC execution engine where the scenario sets no exec: vm, interp, or columnar")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if err := vm.SetExecMode(*exec); err != nil {
+	if err := vm.CheckExecFlag(*exec); err != nil {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
@@ -131,6 +132,9 @@ func parseOpts(cmd string, args []string, stderr io.Writer) (*cmdOpts, error) {
 	sc, err := loadScenario(*name, *file)
 	if err != nil {
 		return nil, err
+	}
+	if sc.Server.Exec == "" {
+		sc.Server.Exec = *exec
 	}
 	return &cmdOpts{sc: sc, seed: *seed, jsonOut: *jsonOut}, nil
 }

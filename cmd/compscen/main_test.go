@@ -7,15 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"comp/internal/vm"
 )
 
 // TestExecFlagTable pins the -exec contract end-to-end through run(): the
 // three engine names are accepted, anything else exits 2 with a usage
 // error whose first line names every valid mode.
 func TestExecFlagTable(t *testing.T) {
-	defer vm.SetExecMode(vm.ExecVM)
 	for _, mode := range []string{"vm", "interp", "columnar"} {
 		code, _, stderr := runCLI("show", "-scenario", "steady", "-exec", mode)
 		if code != 0 {

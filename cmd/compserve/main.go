@@ -42,11 +42,10 @@ import (
 	"comp/internal/workloads"
 )
 
-// setExecMode installs the requested MiniC engine for the whole process,
-// or writes a one-line usage error naming the valid modes to stderr and
-// returns the usage exit code.
-func setExecMode(mode string, stderr io.Writer) int {
-	if err := vm.SetExecMode(mode); err != nil {
+// checkExec validates the -exec flag, or writes a one-line usage error
+// naming the valid modes to stderr and returns the usage exit code.
+func checkExec(mode string, stderr io.Writer) int {
+	if err := vm.CheckExecFlag(mode); err != nil {
 		fmt.Fprintln(stderr, "compserve:", err)
 		return 2
 	}
@@ -71,7 +70,7 @@ func main() {
 	loss := flag.Bool("loss", false, "fail one device mid-trace under a fault storm, then restore it")
 	flag.Parse()
 
-	if code := setExecMode(*execMode, os.Stderr); code != 0 {
+	if code := checkExec(*execMode, os.Stderr); code != 0 {
 		os.Exit(code)
 	}
 
@@ -104,7 +103,7 @@ func main() {
 			usage()
 			os.Exit(2)
 		}
-		if err := runFleetMode(mix, *hosts, *devices, *streams, *queue, *batch, *steal,
+		if err := runFleetMode(mix, *execMode, *hosts, *devices, *streams, *queue, *batch, *steal,
 			*clients, *requests, *deadline, *loss, *verify, *jsonOut); err != nil {
 			fail(err)
 		}
@@ -115,14 +114,15 @@ func main() {
 		depth = *clients * *requests
 	}
 
-	rep, outs, err := runFleet(mix, *streams, depth, *batch, *clients, *requests, *deadline)
+	srvCfg := serve.Config{Streams: *streams, QueueDepth: depth, MaxBatch: *batch, Exec: *execMode}
+	rep, outs, err := runFleet(mix, srvCfg, *clients, *requests, *deadline)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Print(rep.Format())
 
 	if *verify {
-		rep2, outs2, err := runFleet(mix, *streams, depth, *batch, *clients, *requests, *deadline)
+		rep2, outs2, err := runFleet(mix, srvCfg, *clients, *requests, *deadline)
 		if err != nil {
 			fail(fmt.Errorf("verify replay: %w", err))
 		}
@@ -217,14 +217,14 @@ func fleetTrace(mix []string, clients, perClient int, deadline time.Duration, lo
 // fleet rollup. With verify the trace replays twice and the run fails
 // unless both replays are bit-identical: outputs, rejection set,
 // placements, and the full report.
-func runFleetMode(mix []string, hosts, devices, streams, queue, batch, steal, clients, perClient int,
+func runFleetMode(mix []string, exec string, hosts, devices, streams, queue, batch, steal, clients, perClient int,
 	deadline time.Duration, loss, verify bool, jsonOut string) error {
 	devs := fleet.DefaultDevices(hosts, devices, queue)
 	for i := range devs {
 		devs[i].Streams = streams
 		devs[i].MaxBatch = batch
 	}
-	cfg := fleet.Config{Devices: devs, StealThreshold: steal}
+	cfg := fleet.Config{Devices: devs, StealThreshold: steal, Exec: exec}
 	events := fleetTrace(mix, clients, perClient, deadline, loss)
 
 	var res *fleet.ReplayResult
@@ -248,10 +248,11 @@ func runFleetMode(mix []string, hosts, devices, streams, queue, batch, steal, cl
 	return nil
 }
 
-// runFleet submits the full client trace against a fresh server and returns
-// the metrics report plus the per-request outputs, keyed "client/job".
-func runFleet(mix []string, streams, queue, batch, clients, perClient int, deadline time.Duration) (*metrics.ServerReport, map[string]map[string][]float64, error) {
-	s, err := serve.New(serve.Config{Streams: streams, QueueDepth: queue, MaxBatch: batch})
+// runFleet submits the full client trace against a fresh server built from
+// cfg and returns the metrics report plus the per-request outputs, keyed
+// "client/job".
+func runFleet(mix []string, cfg serve.Config, clients, perClient int, deadline time.Duration) (*metrics.ServerReport, map[string]map[string][]float64, error) {
+	s, err := serve.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"comp/internal/serve"
 	"comp/internal/vm"
 )
 
@@ -15,7 +16,6 @@ import (
 // accepted silently, anything else is rejected with exit code 2 and a
 // one-line usage error that names every valid mode.
 func TestExecFlagTable(t *testing.T) {
-	defer vm.SetExecMode(vm.ExecVM)
 	cases := []struct {
 		mode string
 		ok   bool
@@ -30,7 +30,7 @@ func TestExecFlagTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var errb bytes.Buffer
-		code := setExecMode(tc.mode, &errb)
+		code := checkExec(tc.mode, &errb)
 		if tc.ok {
 			if code != 0 || errb.Len() != 0 {
 				t.Errorf("-exec %q: exit %d, stderr %q; want silent success", tc.mode, code, errb.String())
@@ -112,7 +112,7 @@ func TestRunFleetModeVerifies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet replay serves every request through the simulator twice")
 	}
-	if err := runFleetMode([]string{"nn"}, 1, 2, 2, 8, 0, 0, 4, 2, 0, true, true, ""); err != nil {
+	if err := runFleetMode([]string{"nn"}, vm.ExecVM, 1, 2, 2, 8, 0, 0, 4, 2, 0, true, true, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +122,7 @@ func TestRunFleetModeVerifies(t *testing.T) {
 // for all of them, and the collected outputs must be non-empty and
 // self-consistent under sameOutputs.
 func TestRunFleetServesAndAccounts(t *testing.T) {
-	rep, outs, err := runFleet([]string{"nn"}, 2, 8, 0, 4, 2, 0)
+	rep, outs, err := runFleet([]string{"nn"}, serve.Config{Streams: 2, QueueDepth: 8}, 4, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRunFleetServesAndAccounts(t *testing.T) {
 }
 
 func TestWriteJSONReport(t *testing.T) {
-	rep, _, err := runFleet([]string{"nn"}, 2, 4, 0, 2, 1, 0)
+	rep, _, err := runFleet([]string{"nn"}, serve.Config{Streams: 2, QueueDepth: 4}, 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,10 @@ import (
 	"comp/internal/workloads"
 )
 
-// setExecMode installs the requested MiniC engine for the whole process,
-// or writes a one-line usage error naming the valid modes to stderr and
-// returns the usage exit code.
-func setExecMode(mode string, stderr io.Writer) int {
-	if err := vm.SetExecMode(mode); err != nil {
+// checkExec validates the -exec flag, or writes a one-line usage error
+// naming the valid modes to stderr and returns the usage exit code.
+func checkExec(mode string, stderr io.Writer) int {
+	if err := vm.CheckExecFlag(mode); err != nil {
 		fmt.Fprintln(stderr, "compsim:", err)
 		return 2
 	}
@@ -73,7 +72,7 @@ func main() {
 	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
 	flag.Parse()
 
-	if code := setExecMode(*execMode, os.Stderr); code != 0 {
+	if code := checkExec(*execMode, os.Stderr); code != 0 {
 		os.Exit(code)
 	}
 
@@ -136,11 +135,11 @@ func main() {
 		nReq = *streams
 	}
 	if *streams > 1 || nReq > 1 {
-		runScheduler(src, cfg, *streams, nReq, *spans, *timeline, *report, *width, *trace)
+		runScheduler(src, *execMode, cfg, *streams, nReq, *spans, *timeline, *report, *width, *trace)
 		return
 	}
 
-	prog, err := interp.Compile(src)
+	prog, err := compile(src, *execMode)
 	if err != nil {
 		fail(err)
 	}
@@ -217,6 +216,15 @@ func tuneSource(src string, cfg runtime.Config, modelPath string) string {
 	return res.Source()
 }
 
+// compile compiles src and attaches the engine exec names ("" = the VM).
+func compile(src, exec string) (*interp.Program, error) {
+	p, err := interp.Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	return p, vm.Apply(p, exec)
+}
+
 // resolveBlocks parses the -blocks flag. "auto" tunes by measurement: one
 // unoptimized run seeds the §III-B model, then transform.AutoTuner probes
 // optimized runs at candidate counts and keeps the fastest.
@@ -235,7 +243,7 @@ func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		p, err := interp.Compile(res.Source())
+		p, err := compile(res.Source(), "")
 		if err != nil {
 			return 0, err
 		}
@@ -246,7 +254,7 @@ func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 		return r.Stats.Time, nil
 	}
 	// Profile run of the program as written, for the analytic seed.
-	p, err := interp.Compile(src)
+	p, err := compile(src, "")
 	if err != nil {
 		return 0, err
 	}
@@ -268,13 +276,13 @@ func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 // runScheduler executes n concurrent copies of the program through the
 // multi-stream scheduler and prints global, per-stream and per-request
 // summaries.
-func runScheduler(src string, cfg runtime.Config, streams, n int, spans, timeline, report bool, width int, trace string) {
+func runScheduler(src, exec string, cfg runtime.Config, streams, n int, spans, timeline, report bool, width int, trace string) {
 	s, err := runtime.NewScheduler(cfg, streams)
 	if err != nil {
 		fail(err)
 	}
 	for i := 0; i < n; i++ {
-		p, err := interp.Compile(src)
+		p, err := compile(src, exec)
 		if err != nil {
 			fail(err)
 		}

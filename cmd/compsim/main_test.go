@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"comp/internal/vm"
 )
 
 // TestExecFlagTable pins the -exec contract: the three engine names are
 // accepted silently, anything else is rejected with exit code 2 and a
 // one-line usage error that names every valid mode.
 func TestExecFlagTable(t *testing.T) {
-	defer vm.SetExecMode(vm.ExecVM)
 	cases := []struct {
 		mode string
 		ok   bool
@@ -29,7 +26,7 @@ func TestExecFlagTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var errb bytes.Buffer
-		code := setExecMode(tc.mode, &errb)
+		code := checkExec(tc.mode, &errb)
 		if tc.ok {
 			if code != 0 || errb.Len() != 0 {
 				t.Errorf("-exec %q: exit %d, stderr %q; want silent success", tc.mode, code, errb.String())

@@ -34,6 +34,7 @@ import (
 	"comp/internal/runtime"
 	"comp/internal/serve"
 	"comp/internal/sim/metrics"
+	"comp/internal/vm"
 	"comp/internal/workloads"
 )
 
@@ -145,10 +146,14 @@ func RunSource(src string) (RunResult, error) {
 	return RunSourceOn(src, DefaultConfig())
 }
 
-// RunSourceOn compiles and executes MiniC source on a specific platform.
+// RunSourceOn compiles and executes MiniC source on a specific platform,
+// on the bytecode VM.
 func RunSourceOn(src string, cfg Config) (RunResult, error) {
 	p, err := interp.Compile(src)
 	if err != nil {
+		return RunResult{}, err
+	}
+	if err := vm.Apply(p, ""); err != nil {
 		return RunResult{}, err
 	}
 	return runtime.Run(p, cfg)

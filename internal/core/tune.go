@@ -9,6 +9,7 @@ import (
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
 	"comp/internal/tune"
+	"comp/internal/vm"
 )
 
 // TuneSource runs the unified cost-model pipeline search (internal/tune)
@@ -77,10 +78,13 @@ func TunedRun(src string, c tune.Config, cfg runtime.Config, setup func(*interp.
 	return tuneProbe(src, cfg, setup)
 }
 
-// tuneProbe executes one measured run.
+// tuneProbe executes one measured run on the VM.
 func tuneProbe(src string, cfg runtime.Config, setup func(*interp.Program) error) (runtime.Result, error) {
 	p, err := interp.Compile(src)
 	if err != nil {
+		return runtime.Result{}, err
+	}
+	if err := vm.Apply(p, ""); err != nil {
 		return runtime.Result{}, err
 	}
 	return runtime.RunWithSetup(p, cfg, setup)

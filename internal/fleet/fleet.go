@@ -60,8 +60,8 @@ type Config struct {
 	// of the submission trace. Replay sets both.
 	Clock   func() time.Time
 	Stepped bool
-	// Exec pins the execution engine for every device ("" = process-wide
-	// default).
+	// Exec picks the execution engine for every device, as
+	// serve.Config.Exec ("" = the VM).
 	Exec string
 	// Tune enables the cost-model pipeline tuner (serve.Config.Tune) on
 	// every device. Device signatures gain a "|tuned" marker so work

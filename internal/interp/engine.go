@@ -3,7 +3,6 @@ package interp
 import (
 	"io"
 	"sort"
-	"sync"
 
 	"comp/internal/minic"
 )
@@ -21,42 +20,11 @@ type Engine interface {
 	Run(p *Program, b Backend) error
 }
 
-// EngineFactory builds an Engine for a freshly compiled Program. It runs
-// at CompileFile time so engine compilation errors surface early; on error
-// the Program records the error and falls back to the tree-walker.
-type EngineFactory func(p *Program) (Engine, error)
-
-var (
-	engineMu      sync.RWMutex
-	engineFactory EngineFactory
-)
-
-// SetDefaultEngine installs a factory applied to every subsequently
-// compiled Program. Passing nil restores the tree-walker default. Intended
-// for process startup (the cmd/* -exec flag); concurrent use with
-// in-flight compiles is safe but which engine a racing compile sees is
-// unspecified.
-func SetDefaultEngine(f EngineFactory) {
-	engineMu.Lock()
-	engineFactory = f
-	engineMu.Unlock()
-}
-
-func defaultEngineFactory() EngineFactory {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	return engineFactory
-}
-
 // SetEngine overrides this program's execution engine (nil = tree-walker).
 func (p *Program) SetEngine(e Engine) { p.engine = e }
 
 // Engine returns the installed engine, or nil when the tree-walker runs.
 func (p *Program) Engine() Engine { return p.engine }
-
-// EngineErr reports why the default engine factory declined this program
-// (nil when the engine attached, or when no factory was installed).
-func (p *Program) EngineErr() error { return p.engineErr }
 
 // ---- Engine-facing state access ----
 //

@@ -25,10 +25,8 @@ type Program struct {
 	// "dynamic shared allocations").
 	sharedAllocs int64
 
-	// engine, when set, replaces the tree-walker for Run (internal/vm);
-	// engineErr records why the default factory declined this program.
-	engine    Engine
-	engineErr error
+	// engine, when set, replaces the tree-walker for Run (internal/vm).
+	engine Engine
 
 	// loopBudget caps total loop iterations per Run (0 = unlimited);
 	// enforced identically by the tree-walker and engines. See
@@ -56,7 +54,8 @@ func Compile(src string) (*Program, error) {
 	return CompileFile(f)
 }
 
-// CompileFile checks and compiles a parsed file.
+// CompileFile checks and compiles a parsed file. The program runs on the
+// tree-walker until an engine is attached (vm.Apply).
 func CompileFile(f *minic.File) (*Program, error) {
 	res := minic.Check(f)
 	if err := res.Err(); err != nil {
@@ -76,13 +75,6 @@ func CompileFile(f *minic.File) (*Program, error) {
 	}
 	if err := p.initGlobals(); err != nil {
 		return nil, err
-	}
-	if mk := defaultEngineFactory(); mk != nil {
-		if eng, err := mk(p); err != nil {
-			p.engineErr = err // fall back to the tree-walker
-		} else {
-			p.engine = eng
-		}
 	}
 	return p, nil
 }

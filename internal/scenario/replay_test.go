@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"comp/internal/vm"
 )
 
 // TestBuiltinInvariantsAndDeterminism is the acceptance gate: every
@@ -258,5 +260,49 @@ func TestSchedulerMatchesServeOutputs(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no completed requests to cross-check")
+	}
+}
+
+// TestServerExecSelectsEngine: the scenario's exec key reaches every
+// program both replay paths compile. An explicit "interp" runs the
+// tree-walker and must replay bit-identically to the default VM; a bogus
+// mode must surface vm.Apply's error on every request, proving the key is
+// not dropped on the way.
+func TestServerExecSelectsEngine(t *testing.T) {
+	build := func(exec string) *Scenario {
+		sc := New("exec-"+exec, 4).
+			Arrive(Steady, 2).
+			Synth(3, 1, false).Workload("nn", 1).
+			Server(2, 32, 4).
+			MustBuild()
+		sc.Server.Exec = exec
+		return sc
+	}
+	ref, err := Verify(build(""), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := Verify(build(vm.ExecInterp), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(tw.OutcomesJSON) != string(ref.OutcomesJSON) || string(tw.ReportJSON) != string(ref.ReportJSON) {
+		t.Fatal("tree-walker replay differs from the VM replay")
+	}
+	if _, err := ReplayScheduler(build(vm.ExecInterp), 1); err != nil {
+		t.Fatal(err)
+	}
+
+	bad, err := Replay(build("jit"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range bad.Outcomes {
+		if !strings.Contains(out.Err, "unknown exec mode") {
+			t.Fatalf("request %d under exec \"jit\": err %q", out.ID, out.Err)
+		}
+	}
+	if _, err := ReplayScheduler(build("jit"), 1); err == nil || !strings.Contains(err.Error(), "unknown exec mode") {
+		t.Fatalf("scheduler replay under exec \"jit\": err %v", err)
 	}
 }

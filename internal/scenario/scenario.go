@@ -156,8 +156,8 @@ type ServerSpec struct {
 	// MICThreads/CPUThreads override the default machine occupancy.
 	MICThreads int `json:"mic_threads,omitempty"`
 	CPUThreads int `json:"cpu_threads,omitempty"`
-	// Exec pins the execution engine for every program the scenario
-	// compiles ("vm", "interp", or "" = process default).
+	// Exec picks the execution engine for every program the scenario
+	// runs ("vm", "columnar", "interp", or "" = the VM).
 	Exec string `json:"exec,omitempty"`
 }
 

@@ -13,6 +13,7 @@ import (
 	"comp/internal/sim/metrics"
 	"comp/internal/transform"
 	"comp/internal/tune"
+	"comp/internal/vm"
 	"comp/internal/workloads"
 )
 
@@ -388,10 +389,13 @@ func (pl *Planner) buildTuned(ct *tune.Tuner, key string, job Job, cfg runtime.C
 	}, nil
 }
 
-// runProbe executes one measured run for inline-source tuning.
+// runProbe executes one measured run on the VM for inline-source tuning.
 func runProbe(src string, cfg runtime.Config, setup func(*interp.Program) error) (runtime.Result, error) {
 	p, err := interp.Compile(src)
 	if err != nil {
+		return runtime.Result{}, err
+	}
+	if err := vm.Apply(p, ""); err != nil {
 		return runtime.Result{}, err
 	}
 	return runtime.RunWithSetup(p, cfg, setup)

@@ -102,9 +102,10 @@ type Config struct {
 	// — and therefore every figure in the ServerReport — bit-identical
 	// across replays of the same submission sequence.
 	Stepped bool
-	// Exec pins the execution engine for every program this server
-	// compiles: vm.ExecVM for bytecode, vm.ExecInterp for the tree-walker,
-	// "" for the process-wide default (vm.SetExecMode).
+	// Exec picks the execution engine for every request program this
+	// server runs (see vm.Apply): "" or vm.ExecVM for bytecode,
+	// vm.ExecColumnar for the batch tier, vm.ExecInterp for the
+	// tree-walker. Plan-build probes always run the VM.
 	Exec string
 }
 

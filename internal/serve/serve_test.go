@@ -12,6 +12,7 @@ import (
 
 	"comp/internal/interp"
 	"comp/internal/tune"
+	"comp/internal/vm"
 )
 
 // synthSource builds a small offload program whose outputs depend on the
@@ -460,6 +461,42 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // second Close must return, not hang or panic
+}
+
+// TestServeExecPicksEngine: request programs run the VM unless
+// Config.Exec names another engine, and vm.ExecInterp keeps the
+// tree-walker selectable for differential runs. Plan-build probes run the
+// VM either way: the setup hook sees every probe first, then the request.
+func TestServeExecPicksEngine(t *testing.T) {
+	for _, tc := range []struct {
+		exec      string
+		requestVM bool
+	}{{"", true}, {vm.ExecVM, true}, {vm.ExecInterp, false}} {
+		s, err := New(Config{Streams: 1, QueueDepth: 1, Exec: tc.exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var engines []interp.Engine
+		job := Job{Key: "synth-7-opt", Source: synthSource(7), Outputs: []string{"b"}, Optimize: true,
+			Setup: func(p *interp.Program) error { engines = append(engines, p.Engine()); return nil }}
+		_, err = s.Do(job)
+		s.Close()
+		if err != nil {
+			t.Fatalf("Exec %q: %v", tc.exec, err)
+		}
+		if len(engines) < 2 {
+			t.Fatalf("Exec %q: setup ran %d times, want probes plus the request", tc.exec, len(engines))
+		}
+		last := len(engines) - 1
+		for i, e := range engines[:last] {
+			if _, ok := e.(*vm.Engine); !ok {
+				t.Errorf("Exec %q: probe %d ran on %T, want *vm.Engine", tc.exec, i, e)
+			}
+		}
+		if _, ok := engines[last].(*vm.Engine); ok != tc.requestVM {
+			t.Errorf("Exec %q: request ran on %T, want VM %v", tc.exec, engines[last], tc.requestVM)
+		}
+	}
 }
 
 // TestServeBadSourceFailsTyped covers the inline-source validation path:

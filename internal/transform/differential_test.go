@@ -221,7 +221,7 @@ func composePasses(t *testing.T, f *minic.File) map[string]int {
 // under the second engine.
 func vmRunSource(t *testing.T, src string, setup func(*interp.Program) error) *interp.Program {
 	t.Helper()
-	return engineRunSource(t, src, setup, vm.Attach)
+	return engineRunSource(t, src, setup, vm.ExecVM)
 }
 
 // columnarRunSource is vmRunSource with the columnar batch tier enabled —
@@ -229,16 +229,16 @@ func vmRunSource(t *testing.T, src string, setup func(*interp.Program) error) *i
 // the tier targets, so this is where fused vector ops meet §IV rewrites.
 func columnarRunSource(t *testing.T, src string, setup func(*interp.Program) error) *interp.Program {
 	t.Helper()
-	return engineRunSource(t, src, setup, vm.AttachColumnar)
+	return engineRunSource(t, src, setup, vm.ExecColumnar)
 }
 
-func engineRunSource(t *testing.T, src string, setup func(*interp.Program) error, attach func(*interp.Program) error) *interp.Program {
+func engineRunSource(t *testing.T, src string, setup func(*interp.Program) error, mode string) *interp.Program {
 	t.Helper()
 	p, err := interp.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := attach(p); err != nil {
+	if err := vm.Apply(p, mode); err != nil {
 		t.Fatalf("vm attach: %v", err)
 	}
 	if err := p.Reset(); err != nil {

@@ -19,9 +19,8 @@ func benchEngine(b *testing.B, name string, useVM bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.SetEngine(nil)
 	if useVM {
-		if err := vm.Attach(p); err != nil {
+		if err := vm.Apply(p, vm.ExecVM); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,63 +25,6 @@ func NewEngine(p *interp.Program) (*Engine, error) {
 	return &Engine{mod: mod}, nil
 }
 
-// NewColumnarEngine compiles a Program to bytecode with the columnar
-// batch tier enabled.
-func NewColumnarEngine(p *interp.Program) (*Engine, error) {
-	e, err := NewEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	e.columnar = true
-	return e, nil
-}
-
-// Factory adapts NewEngine to interp.EngineFactory for SetDefaultEngine.
-func Factory(p *interp.Program) (interp.Engine, error) {
-	e, err := NewEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ColumnarFactory is Factory with the columnar tier enabled.
-func ColumnarFactory(p *interp.Program) (interp.Engine, error) {
-	e, err := NewColumnarEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// Install makes the VM the default engine for every subsequently compiled
-// program; InstallColumnar additionally turns on the columnar batch tier;
-// Uninstall restores the tree-walker.
-func Install()         { interp.SetDefaultEngine(Factory) }
-func InstallColumnar() { interp.SetDefaultEngine(ColumnarFactory) }
-func Uninstall()       { interp.SetDefaultEngine(nil) }
-
-// Attach compiles p for the VM and installs the engine on it, overriding
-// whatever engine (or tree-walker default) it carries.
-func Attach(p *interp.Program) error {
-	e, err := NewEngine(p)
-	if err != nil {
-		return err
-	}
-	p.SetEngine(e)
-	return nil
-}
-
-// AttachColumnar is Attach with the columnar batch tier enabled.
-func AttachColumnar(p *interp.Program) error {
-	e, err := NewColumnarEngine(p)
-	if err != nil {
-		return err
-	}
-	p.SetEngine(e)
-	return nil
-}
-
 // Module returns the compiled bytecode (for disassembly and tests).
 func (e *Engine) Module() *Module { return e.mod }
 
@@ -117,45 +60,59 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 	return nil
 }
 
-// ExecModes lists the -exec flag values the cmds accept.
+// Exec modes: the values Apply and the cmds' -exec flag accept.
 const (
 	ExecInterp   = "interp"
 	ExecVM       = "vm"
 	ExecColumnar = "columnar"
 )
 
-// SetExecMode configures the process-wide default engine from a -exec
-// flag value, returning an error on unknown modes.
-func SetExecMode(mode string) error {
-	switch mode {
-	case ExecInterp:
-		Uninstall()
-	case ExecVM:
-		Install()
-	case ExecColumnar:
-		InstallColumnar()
-	default:
-		return fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
+// Apply pins one program's engine from an exec-mode string: "vm" (and "",
+// so every unset Exec setting runs the VM) compiles it to bytecode,
+// "columnar" does the same with the batch tier on, and "interp" keeps the
+// tree-walker.
+func Apply(p *interp.Program, mode string) error {
+	bytecode, columnar, err := parseMode(mode)
+	if err != nil {
+		return err
 	}
+	if !bytecode {
+		p.SetEngine(nil)
+		return nil
+	}
+	e, err := NewEngine(p)
+	if err != nil {
+		return err
+	}
+	e.columnar = columnar
+	p.SetEngine(e)
 	return nil
 }
 
-// Apply pins one program's engine from an exec-mode string: "vm" compiles
-// it to bytecode, "columnar" does the same with the batch tier on,
-// "interp" forces the tree-walker, "" leaves whatever the process default
-// (SetExecMode / Install) already attached.
-func Apply(p *interp.Program, mode string) error {
-	switch mode {
-	case "":
-		return nil
-	case ExecInterp:
-		p.SetEngine(nil)
-		return nil
-	case ExecVM:
-		return Attach(p)
-	case ExecColumnar:
-		return AttachColumnar(p)
-	default:
-		return fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
+// CheckExecFlag validates a -exec flag value against the modes Apply
+// accepts, except "": that is Apply's default, not a flag value.
+func CheckExecFlag(mode string) error {
+	if mode == "" {
+		return unknownMode(mode)
 	}
+	_, _, err := parseMode(mode)
+	return err
+}
+
+// parseMode reports whether mode runs bytecode and, if so, whether the
+// columnar tier is on.
+func parseMode(mode string) (bytecode, columnar bool, err error) {
+	switch mode {
+	case "", ExecVM:
+		return true, false, nil
+	case ExecColumnar:
+		return true, true, nil
+	case ExecInterp:
+		return false, false, nil
+	}
+	return false, false, unknownMode(mode)
+}
+
+func unknownMode(mode string) error {
+	return fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
 }

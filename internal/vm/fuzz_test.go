@@ -43,12 +43,11 @@ func FuzzVMDiff(f *testing.F) {
 		if err != nil {
 			t.Skip("front end rejects input")
 		}
-		ref.SetEngine(nil)
 		got, err := interp.Compile(src)
 		if err != nil {
 			t.Fatalf("second compile of accepted input failed: %v", err)
 		}
-		if err := vm.Attach(got); err != nil {
+		if err := vm.Apply(got, vm.ExecVM); err != nil {
 			t.Fatalf("vm rejects a program the tree-walker accepted: %v", err)
 		}
 		const budget = 50_000
@@ -59,7 +58,7 @@ func FuzzVMDiff(f *testing.F) {
 		if err != nil {
 			t.Fatalf("third compile of accepted input failed: %v", err)
 		}
-		if err := vm.AttachColumnar(col); err != nil {
+		if err := vm.Apply(col, vm.ExecColumnar); err != nil {
 			t.Fatalf("columnar vm rejects a program the tree-walker accepted: %v", err)
 		}
 		compareRunsAs(t, refRes, execProgram(col, nil, budget), "columnar")
@@ -85,12 +84,11 @@ func FuzzColumnarDiff(f *testing.F) {
 		if err != nil {
 			t.Skip("front end rejects input")
 		}
-		ref.SetEngine(nil)
 		got, err := interp.Compile(src)
 		if err != nil {
 			t.Fatalf("second compile of accepted input failed: %v", err)
 		}
-		if err := vm.AttachColumnar(got); err != nil {
+		if err := vm.Apply(got, vm.ExecColumnar); err != nil {
 			t.Fatalf("columnar vm rejects a program the tree-walker accepted: %v", err)
 		}
 		const budget = 50_000

@@ -3,6 +3,9 @@ package vm_test
 import (
 	"strings"
 	"testing"
+
+	"comp/internal/interp"
+	"comp/internal/vm"
 )
 
 // deepNestSource builds an expression of the given nesting depth to force
@@ -372,5 +375,30 @@ int main(void) {
 			t.Parallel()
 			diffRun(t, tc.src, nil, tc.budget)
 		})
+	}
+}
+
+// TestApplyModes pins Apply's mode table: "" and every bytecode mode
+// attach a VM engine, "interp" detaches it, and an unknown mode fails
+// without touching the program's engine.
+func TestApplyModes(t *testing.T) {
+	p := interp.MustCompile(`int main(void) { return 0; }`)
+	if p.Engine() != nil {
+		t.Fatalf("interp.Compile attached %T", p.Engine())
+	}
+	for _, tc := range []struct {
+		mode   string
+		wantVM bool
+	}{{"", true}, {vm.ExecInterp, false}, {vm.ExecVM, true}, {vm.ExecInterp, false}, {vm.ExecColumnar, true}} {
+		if err := vm.Apply(p, tc.mode); err != nil {
+			t.Fatalf("Apply(%q): %v", tc.mode, err)
+		}
+		if _, ok := p.Engine().(*vm.Engine); ok != tc.wantVM {
+			t.Fatalf("Apply(%q): engine %T, want VM %v", tc.mode, p.Engine(), tc.wantVM)
+		}
+	}
+	before := p.Engine()
+	if err := vm.Apply(p, "jit"); err == nil || p.Engine() != before {
+		t.Fatalf("Apply(\"jit\"): err %v, engine changed %v", err, p.Engine() != before)
 	}
 }

@@ -136,28 +136,16 @@ func execProgram(p *interp.Program, setup func(*interp.Program) error, budget in
 }
 
 // execSource compiles src and runs it on the requested engine
-// ("interp", "vm", or "columnar"). The reference run pins the
-// tree-walker explicitly so a process-wide vm.Install from another test
-// can never contaminate the oracle.
+// ("interp", "vm", or "columnar"). interp.Compile attaches no engine, so
+// the "interp" reference run is the tree-walker.
 func execSource(t *testing.T, src string, setup func(*interp.Program) error, mode string, budget int64) *runResult {
 	t.Helper()
 	p, err := interp.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	p.SetEngine(nil)
-	switch mode {
-	case vm.ExecInterp:
-	case vm.ExecVM:
-		if err := vm.Attach(p); err != nil {
-			t.Fatalf("vm attach: %v", err)
-		}
-	case vm.ExecColumnar:
-		if err := vm.AttachColumnar(p); err != nil {
-			t.Fatalf("columnar attach: %v", err)
-		}
-	default:
-		t.Fatalf("unknown exec mode %q", mode)
+	if err := vm.Apply(p, mode); err != nil {
+		t.Fatalf("%s attach: %v", mode, err)
 	}
 	return execProgram(p, setup, budget)
 }

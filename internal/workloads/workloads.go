@@ -189,9 +189,9 @@ type RunOptions struct {
 	Passes string
 	// Config overrides the platform (zero value = DefaultConfig).
 	Config *runtime.Config
-	// Exec pins the execution engine for the compiled program: vm.ExecVM
-	// compiles it to bytecode, vm.ExecInterp forces the tree-walker, ""
-	// keeps the process-wide default (vm.SetExecMode).
+	// Exec picks the execution engine for the compiled program (see
+	// vm.Apply): "" or vm.ExecVM compiles it to bytecode, vm.ExecColumnar
+	// adds the batch tier, vm.ExecInterp keeps the tree-walker.
 	Exec string
 }
 

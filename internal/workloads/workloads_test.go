@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"comp/internal/core"
+	"comp/internal/interp"
+	"comp/internal/vm"
 )
 
 func TestSuiteComplete(t *testing.T) {
@@ -277,5 +279,36 @@ func TestSharedConfigVariants(t *testing.T) {
 	f16k := import_cfg(16384)
 	if f16k >= f4k {
 		t.Fatalf("coarser pages did not reduce faults: %d vs %d", f16k, f4k)
+	}
+}
+
+// TestPrepareRunsTheVM: an unset Exec compiles to bytecode and
+// vm.ExecInterp keeps the tree-walker, while interp.Compile alone attaches
+// no engine, so the tree-walker stays the tests' reference.
+func TestPrepareRunsTheVM(t *testing.T) {
+	b, err := Get("nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := b.Prepare(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Engine().(*vm.Engine); !ok {
+		t.Fatalf("Prepare(RunOptions{}) engine = %T, want *vm.Engine", p.Engine())
+	}
+	p, _, err = b.Prepare(RunOptions{Exec: vm.ExecInterp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Engine() != nil {
+		t.Fatalf("Exec interp engine = %T, want the tree-walker", p.Engine())
+	}
+	ref, err := interp.Compile(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Engine() != nil {
+		t.Fatalf("interp.Compile engine = %T, want the tree-walker", ref.Engine())
 	}
 }
