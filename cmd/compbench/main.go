@@ -11,7 +11,7 @@
 //	compbench -fleet          # sharded fleet scenario table (steady, overload, device-loss)
 //	compbench -scenarios      # built-in scenario table: admitted/rejected/deadline-miss/fault-recovery
 //	compbench -tune           # cost-model tuner vs exhaustive oracle, cold/warm/held-out
-//	compbench -vmbench        # bytecode VM vs tree-walker on every workload
+//	compbench -vmbench        # scalar bytecode VM vs tree-walker on every workload
 //	compbench -columnar       # columnar batch tier vs scalar VM
 //	compbench -sweep          # pick block counts by exhaustive sweep (oracle)
 //	compbench -passes merge,streaming  # per-pass applied/skipped table for a pipeline spec
@@ -58,7 +58,7 @@ func main() {
 	passes := flag.String("passes", "", "compile every benchmark under this pipeline `spec` (e.g. \"merge,regularize,streaming\") and print the per-pass applied/skipped table with full remark trails")
 	scenarios := flag.Bool("scenarios", false, "replay every built-in serving scenario (internal/scenario) and print the per-scenario admission/fault-recovery table")
 	scenarioSeed := flag.Int64("scenario-seed", 1, "trace seed for -scenarios")
-	vmbench := flag.Bool("vmbench", false, "benchmark the bytecode VM against the tree-walker on every workload")
+	vmbench := flag.Bool("vmbench", false, "benchmark the scalar bytecode VM (batch tier off) against the tree-walker on every workload")
 	vmbenchIters := flag.Int("vmbench-iters", 3, "full runs per engine for -vmbench (best-of)")
 	vmbenchOut := flag.String("vmbench-out", "BENCH_vm.json", "write the -vmbench report as JSON to this file (\"-\" = stdout only)")
 	columnar := flag.Bool("columnar", false, "benchmark the columnar batch tier against the scalar VM on every workload plus the element-wise kernel set (AoS vs SoA included)")

@@ -56,7 +56,7 @@ common flags (run/verify/trace/sched/show):
   -seed n          trace seed (default 1)
   -json path       write the machine-readable result to path ("-" = stdout)
   -exec engine     MiniC execution engine where the scenario sets no exec:
-                   vm (default), interp, or columnar
+                   vm (default) or interp
 `
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -119,7 +119,7 @@ func parseOpts(cmd string, args []string, stderr io.Writer) (*cmdOpts, error) {
 	file := fs.String("file", "", "scenario JSON file")
 	seed := fs.Int64("seed", 1, "trace seed")
 	jsonOut := fs.String("json", "", "write machine-readable result to path (\"-\" = stdout)")
-	exec := fs.String("exec", vm.ExecVM, "MiniC execution engine where the scenario sets no exec: vm, interp, or columnar")
+	exec := fs.String("exec", vm.ExecVM, "MiniC execution engine where the scenario sets no exec: vm or interp")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 	verify := flag.Bool("verify", false, "replay the trace on a second fresh server and require bit-identical outputs")
 	jsonOut := flag.String("json", "", "also write the metrics report as JSON to this file (\"-\" = stdout)")
-	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm (bytecode with the columnar batch tier) or interp (tree-walker)")
 	fleetMode := flag.Bool("fleet", false, "shard the trace over a multi-device fleet (consistent-hash routing + work stealing)")
 	hosts := flag.Int("hosts", 2, "simulated hosts for -fleet")
 	devices := flag.Int("devices", 2, "devices per host for -fleet")

@@ -12,7 +12,7 @@ import (
 	"comp/internal/vm"
 )
 
-// TestExecFlagTable pins the -exec contract: the three engine names are
+// TestExecFlagTable pins the -exec contract: the two engine names are
 // accepted silently, anything else is rejected with exit code 2 and a
 // one-line usage error that names every valid mode.
 func TestExecFlagTable(t *testing.T) {
@@ -22,8 +22,8 @@ func TestExecFlagTable(t *testing.T) {
 	}{
 		{"vm", true},
 		{"interp", true},
-		{"columnar", true},
 		{"", false},
+		{"columnar", false},
 		{"VM", false},
 		{"Columnar", false},
 		{"jit", false},
@@ -44,7 +44,7 @@ func TestExecFlagTable(t *testing.T) {
 		if strings.Count(out, "\n") != 1 {
 			t.Errorf("-exec %q: usage error is not one line:\n%s", tc.mode, out)
 		}
-		for _, want := range []string{"compserve:", "unknown exec mode", "interp", "vm", "columnar"} {
+		for _, want := range []string{"compserve:", "unknown exec mode", "interp", "vm"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("-exec %q: usage error lacks %q: %s", tc.mode, want, out)
 			}

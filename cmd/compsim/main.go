@@ -69,7 +69,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 	tuneFlag := flag.Bool("tune", false, "pick the pass pipeline and block count with the cost-model tuner before running (overrides -optimize/-passes/-blocks)")
 	tuneModel := flag.String("tune-model", "", "JSON `file` the -tune learned model is loaded from and saved back to")
-	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm (bytecode with the columnar batch tier) or interp (tree-walker)")
 	flag.Parse()
 
 	if code := checkExec(*execMode, os.Stderr); code != 0 {

@@ -157,28 +157,30 @@ func soaVariant(src string) (string, error) {
 	return minic.Print(f), nil
 }
 
-// columnarSource measures one source under the scalar VM and the columnar
-// VM, recording how many loops lowered to vector ops.
+// columnarSource measures one source under the scalar VM (vm.NewEngine)
+// and the VM as vm.Apply builds it (batch tier on), recording how many
+// loops lowered to vector ops.
 func columnarSource(name, src string, setup func(*interp.Program) error, iters int) (ColumnarRow, error) {
 	row := ColumnarRow{Name: name}
-	for _, mode := range []string{vm.ExecVM, vm.ExecColumnar} {
+	for _, scalar := range []bool{true, false} {
 		p, err := interp.Compile(src)
 		if err != nil {
 			return row, fmt.Errorf("compile: %w", err)
 		}
-		e, err := vm.NewEngine(p)
-		if err != nil {
+		if scalar {
+			e, err := attachScalarVM(p)
+			if err != nil {
+				return row, fmt.Errorf("vm compile: %w", err)
+			}
+			row.VecLoops = e.Module().VecLoopCount()
+		} else if err := vm.Apply(p, vm.ExecVM); err != nil {
 			return row, fmt.Errorf("vm compile: %w", err)
-		}
-		row.VecLoops = e.Module().VecLoopCount()
-		if err := vm.Apply(p, mode); err != nil {
-			return row, err
 		}
 		ns, err := timeRun(p, setup, iters)
 		if err != nil {
-			return row, fmt.Errorf("%s run: %w", mode, err)
+			return row, fmt.Errorf("run (scalar VM %v): %w", scalar, err)
 		}
-		if mode == vm.ExecVM {
+		if scalar {
 			row.VMNs = ns
 		} else {
 			row.ColumnarNs = ns

@@ -16,7 +16,9 @@ import (
 // The VM report is the bytecode engine's perf artifact: for every MiniC
 // workload it measures the wall-clock of a full run (Reset + Setup + Run
 // against a null backend, so only engine execution is on the clock) under
-// the tree-walker and under the VM. compbench -vmbench writes it as
+// the tree-walker and under the scalar VM (vm.NewEngine: bytecode with
+// the columnar batch tier off, so the ratio is interpreter vs bytecode;
+// BENCH_columnar.json measures the tier). compbench -vmbench writes it as
 // BENCH_vm.json; the CI guard holds the per-workload speedup ratio, which
 // is machine-relative, to within tolerance of the committed file.
 
@@ -65,25 +67,42 @@ func timeRun(p *interp.Program, setup func(*interp.Program) error, iters int) (i
 	return best, nil
 }
 
-// VMBenchmark measures one workload under both engines.
+// attachScalarVM compiles p to bytecode with the columnar batch tier off:
+// the scalar engine both reports measure against.
+func attachScalarVM(p *interp.Program) (*vm.Engine, error) {
+	e, err := vm.NewEngine(p)
+	if err != nil {
+		return nil, err
+	}
+	p.SetEngine(e)
+	return e, nil
+}
+
+// VMBenchmark measures one workload under the tree-walker and the scalar
+// VM.
 func (r *Runner) VMBenchmark(b *workloads.Benchmark, iters int) (VMRow, error) {
 	if b.SharedMem {
 		return VMRow{Name: b.Name, Note: "n/a shared-memory"}, nil
 	}
 	row := VMRow{Name: b.Name}
-	for _, eng := range []string{vm.ExecInterp, vm.ExecVM} {
-		p, _, err := b.Prepare(workloads.RunOptions{Variant: workloads.MICNaive, Exec: eng})
+	for _, scalar := range []bool{false, true} {
+		p, _, err := b.Prepare(workloads.RunOptions{Variant: workloads.MICNaive, Exec: vm.ExecInterp})
 		if err != nil {
 			return row, err
 		}
+		if scalar {
+			if _, err := attachScalarVM(p); err != nil {
+				return row, err
+			}
+		}
 		ns, err := timeRun(p, b.Setup, iters)
 		if err != nil {
-			return row, fmt.Errorf("%s run: %w", eng, err)
+			return row, fmt.Errorf("run (scalar VM %v): %w", scalar, err)
 		}
-		if eng == vm.ExecInterp {
-			row.InterpNs = ns
-		} else {
+		if scalar {
 			row.VMNs = ns
+		} else {
+			row.InterpNs = ns
 		}
 	}
 	row.Speedup = float64(row.InterpNs) / float64(row.VMNs)

@@ -175,7 +175,10 @@ func TestSoakFleet32SubmittersChaos(t *testing.T) {
 // steps, a device-loss fault storm, and deadline-bearing submissions.
 func fleet1000Trace(clients int, victim string) []Event {
 	var ev []Event
-	storm := clients / 3
+	// The storm and the loss land on the 14th submission of a 16-wide
+	// step window (as clients/3 does at 1000 clients), so the victim has
+	// queued work to drain under the storm at every trace size.
+	storm := clients/3/16*16 + 13
 	restore := 2 * clients / 3
 	for i := 0; i < clients; i++ {
 		job := serve.Job{

@@ -157,7 +157,7 @@ type ServerSpec struct {
 	MICThreads int `json:"mic_threads,omitempty"`
 	CPUThreads int `json:"cpu_threads,omitempty"`
 	// Exec picks the execution engine for every program the scenario
-	// runs ("vm", "columnar", "interp", or "" = the VM).
+	// runs ("vm", "interp", or "" = the VM).
 	Exec string `json:"exec,omitempty"`
 }
 

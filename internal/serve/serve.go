@@ -103,9 +103,9 @@ type Config struct {
 	// across replays of the same submission sequence.
 	Stepped bool
 	// Exec picks the execution engine for every request program this
-	// server runs (see vm.Apply): "" or vm.ExecVM for bytecode,
-	// vm.ExecColumnar for the batch tier, vm.ExecInterp for the
-	// tree-walker. Plan-build probes always run the VM.
+	// server runs (see vm.Apply): "" or vm.ExecVM for bytecode with the
+	// columnar batch tier, vm.ExecInterp for the tree-walker. Plan-build
+	// probes always run the VM.
 	Exec string
 }
 

@@ -216,29 +216,37 @@ func composePasses(t *testing.T, f *minic.File) map[string]int {
 	return fired
 }
 
-// vmRunSource is nullRunSource with the bytecode VM attached as the
-// execution engine, so the composed-transform differential also holds
-// under the second engine.
+// vmRunSource is nullRunSource with the scalar bytecode VM (vm.NewEngine,
+// batch tier off) attached as the execution engine, so the
+// composed-transform differential also holds under the second engine.
 func vmRunSource(t *testing.T, src string, setup func(*interp.Program) error) *interp.Program {
 	t.Helper()
-	return engineRunSource(t, src, setup, vm.ExecVM)
+	return engineRunSource(t, src, setup, func(p *interp.Program) error {
+		e, err := vm.NewEngine(p)
+		if err != nil {
+			return err
+		}
+		p.SetEngine(e)
+		return nil
+	})
 }
 
-// columnarRunSource is vmRunSource with the columnar batch tier enabled —
-// the transformed programs are exactly the regular, element-wise shapes
-// the tier targets, so this is where fused vector ops meet §IV rewrites.
+// columnarRunSource runs the VM as vm.Apply builds it, columnar batch
+// tier on — the transformed programs are exactly the regular,
+// element-wise shapes the tier targets, so this is where fused vector ops
+// meet §IV rewrites.
 func columnarRunSource(t *testing.T, src string, setup func(*interp.Program) error) *interp.Program {
 	t.Helper()
-	return engineRunSource(t, src, setup, vm.ExecColumnar)
+	return engineRunSource(t, src, setup, func(p *interp.Program) error { return vm.Apply(p, vm.ExecVM) })
 }
 
-func engineRunSource(t *testing.T, src string, setup func(*interp.Program) error, mode string) *interp.Program {
+func engineRunSource(t *testing.T, src string, setup func(*interp.Program) error, attach func(*interp.Program) error) *interp.Program {
 	t.Helper()
 	p, err := interp.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := vm.Apply(p, mode); err != nil {
+	if err := attach(p); err != nil {
 		t.Fatalf("vm attach: %v", err)
 	}
 	if err := p.Reset(); err != nil {

@@ -11,9 +11,9 @@ import (
 // Qualification is strict by design — the descriptor must charge the same
 // Work, touch the same device ranges, and compute bit-identical values as
 // the scalar loop it fast-forwards, so anything that could diverge
-// (irregular subscripts, calls, writes to outer scalars, faultable
-// divisions) falls back to the scalar bytecode, which stays compiled and
-// unchanged right after the OpVecLoop.
+// (gathers, calls, writes to outer scalars, faultable divisions, values
+// carried from one iteration to the next) falls back to the scalar
+// bytecode, which stays compiled and unchanged right after the OpVecLoop.
 
 // colBlock is the batch width: one dispatch of the column program covers
 // up to this many iterations. 256 doubles = 2KB per register column, small
@@ -27,21 +27,28 @@ const (
 	vimConst  int32 = iota // Consts[A]
 	vimLocal               // frame slot A
 	vimGlobal              // global A (device-aware read)
+	vimSite                // the element invariant site A addresses
 )
 
 // VecImm broadcasts one loop-invariant scalar into register Dst before the
 // batch runs. The loop body cannot assign non-temporary scalars (the
-// qualifier rejects those loops), so one broadcast per batch is exact.
+// qualifier rejects those loops), nor write an array it reads through a
+// broadcast site (the qualifier and the batch's alias check reject
+// those), so one broadcast per batch is exact.
 type VecImm struct {
 	Kind, A, Dst int32
 }
 
-// VecSite is one array whose elements the kernel reads or writes at the
-// induction variable. Local sites name a ref slot; global sites a module
-// global (resolved device-aware, like OpRefG, at batch entry).
+// VecSite is one array access of the kernel. Local sites name a ref slot;
+// global sites a module global (resolved device-aware, like OpRefG, at
+// batch entry). A site either streams a[i + Off] (a column window shifted
+// by the constant Off) or, when Index is set, reads the one element
+// a[Index] the loop-invariant mini-block Index addresses (a broadcast).
 type VecSite struct {
 	Local bool
 	A     int32
+	Off   int32
+	Index []Instr
 }
 
 // Column-program opcodes. Each processes one block of lanes.
@@ -161,6 +168,30 @@ type VecLoopDesc struct {
 	Prog  []ColIns
 }
 
+// writes reports whether the column program stores through site si.
+func (d *VecLoopDesc) writes(si int) bool {
+	for _, in := range d.Prog {
+		if in.Kind == cStore && int(in.Site) == si {
+			return true
+		}
+	}
+	return false
+}
+
+// conflict reports whether sites si and sj must not address the same
+// array: one of them is written and, in one iteration, they address
+// different elements (different offsets, or an invariant subscript). The
+// batch runs each instruction across all lanes before the next one, so
+// such a pair would carry a value from one iteration into another where
+// the scalar loop carries none, or miss one it carries.
+func (d *VecLoopDesc) conflict(si, sj int) bool {
+	s, t := d.Sites[si], d.Sites[sj]
+	if s.Index == nil && t.Index == nil && s.Off == t.Off {
+		return false
+	}
+	return d.writes(si) || d.writes(sj)
+}
+
 // VecLoopCount reports the number of fused loops across the module (for
 // benchmarks and tests asserting the tier actually engaged).
 func (m *Module) VecLoopCount() int {
@@ -235,7 +266,7 @@ func (c *comp) tryVecLoop(fs *minic.ForStmt, par bool, guardSlot int) *VecLoopDe
 		temps:  map[string]colTemp{},
 		imms:   map[[2]int32]int32{},
 		consts: map[int32]float64{},
-		sites:  map[[2]int32]int32{},
+		sites:  map[[3]int32]int32{},
 		views:  map[int32]int32{},
 	}
 	total := condK
@@ -252,6 +283,18 @@ func (c *comp) tryVecLoop(fs *minic.ForStmt, par bool, guardSlot int) *VecLoopDe
 	c.loopVars = c.loopVars[:len(c.loopVars)-1]
 	if !lowered || len(d.Sites) == 0 {
 		return nil
+	}
+	// An array written in the body is accessed at one offset only, and
+	// never through an invariant subscript: a[i] = a[i - 1] + 1 carries a
+	// value from one iteration into the next, and a[0] = x[i] keeps only
+	// the last. (Different bindings that alias at run time are the
+	// batch's check.)
+	for si, s := range d.Sites {
+		for sj, t := range d.Sites[:si+1] {
+			if s.Local == t.Local && s.A == t.A && d.conflict(si, sj) {
+				return nil
+			}
+		}
 	}
 	postK, ok := c.postCost(fs.Post)
 	if !ok {
@@ -332,9 +375,8 @@ type colComp struct {
 	temps   map[string]colTemp
 	imms    map[[2]int32]int32 // (kind, A) -> broadcast register
 	consts  map[int32]float64  // constant-immediate register -> value
-	sites   map[[2]int32]int32 // (isGlobal, A) -> site index
+	sites   map[[3]int32]int32 // (binding kind, A, Off) -> streamed site index
 	siteInt []bool
-	siteEB  []float64
 	views   map[int32]int32 // site index -> bound view register
 
 	// lazy counts enclosing lazily-evaluated contexts (&&/|| right sides,
@@ -379,9 +421,11 @@ func (v *colComp) iotaReg() int32 {
 	return v.d.IotaReg
 }
 
-// siteOf qualifies one array access as a streamable site: a non-shadowed
-// array name subscripted by exactly the induction variable, with a basic
-// (single-field) element type, outside any lazily-evaluated context.
+// siteOf qualifies one array access as a site: a non-shadowed array name
+// with a basic (single-field) element type, outside any lazily-evaluated
+// context, subscripted by the induction variable plus or minus an integer
+// constant (a streamed site) or by a loop-invariant expression (a
+// broadcast site).
 func (v *colComp) siteOf(x *minic.IndexExpr) (int32, bool) {
 	if v.lazy > 0 {
 		return 0, false
@@ -393,10 +437,6 @@ func (v *colComp) siteOf(x *minic.IndexExpr) (int32, bool) {
 	if _, shadowed := v.temps[id.Name]; shadowed {
 		return 0, false
 	}
-	sub, ok := stripParens(x.Index).(*minic.Ident)
-	if !ok || sub.Name != v.ivar {
-		return 0, false
-	}
 	bnd, found := v.c.lookup(id.Name)
 	if !found || !isRefType(bnd.typ) {
 		return 0, false
@@ -405,34 +445,89 @@ func (v *colComp) siteOf(x *minic.IndexExpr) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	var key [2]int32
 	var s VecSite
 	switch bnd.kind {
 	case bindLocalRef:
-		key = [2]int32{0, int32(bnd.slot)}
 		s = VecSite{Local: true, A: int32(bnd.slot)}
 	case bindGlobal:
-		key = [2]int32{1, int32(bnd.gidx)}
 		s = VecSite{A: int32(bnd.gidx)}
 	default:
 		return 0, false
 	}
-	if si, seen := v.sites[key]; seen {
-		return si, true
+	if off, ok := v.offsetOf(x.Index); ok {
+		s.Off = off
+		key := [3]int32{int32(bnd.kind), s.A, off}
+		if si, seen := v.sites[key]; seen {
+			return si, true
+		}
+		v.sites[key] = int32(len(v.d.Sites))
+	} else if v.invariant(x.Index) {
+		blk, err := v.c.miniBlock(x.Index)
+		if err != nil || len(blk) == 0 {
+			return 0, false
+		}
+		s.Index = blk
+	} else {
+		return 0, false
 	}
 	si := int32(len(v.d.Sites))
-	v.sites[key] = si
 	v.d.Sites = append(v.d.Sites, s)
 	v.siteInt = append(v.siteInt, elem.IsInteger())
-	v.siteEB = append(v.siteEB, float64(elem.Size()))
 	return si, true
+}
+
+// offsetOf matches a streamed subscript: i, i + c or i - c for an integer
+// constant c (bounded so i + c cannot overflow the batch arithmetic).
+func (v *colComp) offsetOf(e minic.Expr) (int32, bool) {
+	switch x := stripParens(e).(type) {
+	case *minic.Ident:
+		return 0, x.Name == v.ivar
+	case *minic.BinaryExpr:
+		id, ok := stripParens(x.X).(*minic.Ident)
+		if !ok || id.Name != v.ivar {
+			return 0, false
+		}
+		lit, ok := x.Y.(*minic.IntLit)
+		if !ok || lit.Value > 1<<30 {
+			return 0, false
+		}
+		switch x.Op {
+		case "+":
+			return int32(lit.Value), true
+		case "-":
+			return -int32(lit.Value), true
+		}
+	}
+	return 0, false
+}
+
+// invariant accepts a broadcast subscript: what pureBound accepts for a
+// loop bound, naming no body temporary (those vary per iteration).
+func (v *colComp) invariant(e minic.Expr) bool {
+	if !v.c.pureBound(e, v.ivar) {
+		return false
+	}
+	ok := true
+	minic.Inspect(e, func(n minic.Node) bool {
+		if id, isID := n.(*minic.Ident); isID {
+			if _, temp := v.temps[id.Name]; temp {
+				ok = false
+			}
+		}
+		return ok
+	})
+	return ok
 }
 
 // view returns the register bound to a site's column window, emitting the
 // bind on first use. The binding is a zero-copy alias into the backing
 // array, so reads through it always observe prior cStores — the in-order
-// per-lane semantics the scalar loop has.
+// per-lane semantics the scalar loop has. A broadcast site's register is
+// an immediate filled once per batch.
 func (v *colComp) view(si int32) int32 {
+	if v.d.Sites[si].Index != nil {
+		return v.immReg(vimSite, si)
+	}
 	if r, ok := v.views[si]; ok {
 		return r
 	}
@@ -543,6 +638,12 @@ func (v *colComp) assign(x *minic.AssignStmt) (cost, bool) {
 		if err != nil {
 			return cost{}, false
 		}
+		// The destination costs what reading it would: subscript, one
+		// flop, the element's bytes.
+		lv, err := v.c.staticCost(lhs)
+		if err != nil {
+			return cost{}, false
+		}
 		if op == "" {
 			// Plain store: the scalar encoding evaluates the RHS before it
 			// touches the destination site, so the site registers (and,
@@ -561,7 +662,7 @@ func (v *colComp) assign(x *minic.AssignStmt) (cost, bool) {
 				r = s
 			}
 			v.emit(cStore, -1, r, -1, -1, si)
-			return cost{k.w + 2, k.b + v.siteEB[si], k.irr}, true
+			return cost{k.w + lv.w + 1, k.b + lv.b, k.irr + lv.irr}, true
 		}
 		// Compound store: the scalar encoding reads the element first.
 		si, ok := v.siteOf(lhs)
@@ -583,7 +684,7 @@ func (v *colComp) assign(x *minic.AssignStmt) (cost, bool) {
 			v.emit(cTrunc, s, s, -1, -1, -1)
 		}
 		v.emit(cStore, -1, s, -1, -1, si)
-		return cost{k.w + 2, k.b + 2*v.siteEB[si], k.irr}, true
+		return cost{k.w + lv.w + 1, k.b + 2*lv.b, k.irr + 2*lv.irr}, true
 	}
 	return cost{}, false
 }
@@ -603,6 +704,10 @@ func (v *colComp) incDec(x *minic.IncDecStmt) (cost, bool) {
 		v.emit(cAdd, t.reg, t.reg, v.constImm(delta), -1, -1)
 		return cost{1, 0, 0}, true
 	case *minic.IndexExpr:
+		lv, err := v.c.staticCost(lhs)
+		if err != nil {
+			return cost{}, false
+		}
 		si, ok := v.siteOf(lhs)
 		if !ok {
 			return cost{}, false
@@ -612,7 +717,7 @@ func (v *colComp) incDec(x *minic.IncDecStmt) (cost, bool) {
 		// Scalar: load, add, store — no truncation even for int elements.
 		v.emit(cAdd, s, cur, v.constImm(delta), -1, -1)
 		v.emit(cStore, -1, s, -1, -1, si)
-		return cost{2, 2 * v.siteEB[si], 0}, true
+		return cost{lv.w + 1, 2 * lv.b, 2 * lv.irr}, true
 	}
 	return cost{}, false
 }

@@ -27,16 +27,17 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	} else {
 		lo = m.gval(d.IdxG)
 	}
-	// Non-integral or out-of-range starts (a negative index would fault
-	// scalar-side on the first access) stay scalar.
-	if lo != math.Trunc(lo) || lo < 0 || lo > 1<<31 {
+	// Non-integral or huge starts stay scalar.
+	if lo != math.Trunc(lo) || math.Abs(lo) > 1<<31 {
 		return
 	}
 	ilo := int64(lo)
 	if cap(m.colArrs) < len(d.Sites) {
 		m.colArrs = make([]*interp.Array, len(d.Sites))
+		m.colOffs = make([]int64, len(d.Sites))
 	}
 	arrs := m.colArrs[:len(d.Sites)]
+	offs := m.colOffs[:len(d.Sites)]
 	for i, s := range d.Sites {
 		var a *interp.Array
 		if s.Local {
@@ -58,6 +59,25 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 			return
 		}
 		arrs[i] = a
+		offs[i] = int64(s.Off)
+		if s.Index != nil {
+			// A broadcast site reads one element for the whole batch; an
+			// index the scalar loop would fault on bails the batch.
+			idx := int64(m.evalBlock(ch, s.Index, f, r))
+			if idx < 0 || idx >= int64(a.Len()) {
+				return
+			}
+			offs[i] = idx
+		}
+	}
+	// Aliased ref arguments can make two sites one array at run time; a
+	// pair that would carry values across lanes runs scalar.
+	for i := range arrs {
+		for j := i + 1; j < len(arrs); j++ {
+			if arrs[i] == arrs[j] && d.conflict(i, j) {
+				return
+			}
+		}
 	}
 	upper := m.evalBlock(ch, d.Upper, f, r)
 	var guess float64
@@ -73,9 +93,18 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	if guess < float64(k) {
 		k = int64(guess)
 	}
-	// Clamp to the shortest site so a bounds fault replays scalar-side.
-	for _, a := range arrs {
-		if n := int64(a.Len()) - ilo; n < k {
+	// Clamp every streamed site to 0 <= i + Off < len, so a bounds fault
+	// replays scalar-side; a site that starts outside its array leaves
+	// nothing to batch.
+	for i, a := range arrs {
+		if d.Sites[i].Index != nil {
+			continue
+		}
+		first := ilo + offs[i]
+		if first < 0 {
+			return
+		}
+		if n := int64(a.Len()) - first; n < k {
 			k = n
 		}
 	}
@@ -96,7 +125,7 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	if k <= 0 {
 		return
 	}
-	m.colExec(ch, d, f, arrs, ilo, k)
+	m.colExec(ch, d, f, arrs, offs, ilo, k)
 
 	// Finalization: the same accounting K scalar iterations perform.
 	// Work: condition + body + post charges per trip.
@@ -120,14 +149,20 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	} else {
 		f[d.GuardSlot] += float64(k)
 	}
-	// Device-touch ranges: each global site saw exactly [ilo, ilo+k-1],
-	// recorded in site order = the scalar first-touch order.
+	// Device-touch ranges: each global site saw exactly [ilo+Off,
+	// ilo+k-1+Off] (a broadcast site its one element), recorded in site
+	// order = the scalar first-touch order.
 	if m.tracking {
 		for i, s := range d.Sites {
-			if !s.Local {
-				m.touchDev(arrs[i], ilo)
-				m.touchDev(arrs[i], ilo+k-1)
+			if s.Local {
+				continue
 			}
+			if s.Index != nil {
+				m.touchDev(arrs[i], offs[i])
+				continue
+			}
+			m.touchDev(arrs[i], ilo+offs[i])
+			m.touchDev(arrs[i], ilo+k-1+offs[i])
 		}
 	}
 	// Advance the induction variable past the batch; the scalar head
@@ -156,7 +191,8 @@ func (m *machine) gstoreScalar(gi int32, v float64) {
 }
 
 // colExec runs the column program over k iterations in blocks of colBlock.
-func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp.Array, ilo, k int64) {
+// offs holds each site's subscript offset (a broadcast site's element).
+func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp.Array, offs []int64, ilo, k int64) {
 	n := int(d.NRegs)
 	for len(m.colPool) < n {
 		m.colPool = append(m.colPool, make([]float64, colBlock))
@@ -175,6 +211,8 @@ func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp
 			val = ch.Consts[im.A]
 		case vimLocal:
 			val = f[im.A]
+		case vimSite:
+			val = arrs[im.A].Data[offs[im.A]]
 		default:
 			val = m.gval(im.A)
 		}
@@ -198,7 +236,7 @@ func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp
 			}
 		}
 		for _, in := range d.Prog {
-			m.colStep(in, regs, arrs, base, bn)
+			m.colStep(in, regs, arrs, offs, base, bn)
 		}
 	}
 }
@@ -206,14 +244,14 @@ func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp
 // colStep executes one column instruction over bn lanes. Lane semantics
 // are copied from the scalar dispatch loop op for op (same conversions,
 // same boolToF normalization), so values are bit-identical.
-func (m *machine) colStep(in ColIns, regs [][]float64, arrs []*interp.Array, base, bn int) {
+func (m *machine) colStep(in ColIns, regs [][]float64, arrs []*interp.Array, offs []int64, base, bn int) {
 	switch in.Kind {
 	case cLoad:
-		a := arrs[in.Site]
-		regs[in.Dst] = a.Data[base : base+bn]
+		lo := base + int(offs[in.Site])
+		regs[in.Dst] = arrs[in.Site].Data[lo : lo+bn]
 	case cStore:
-		a := arrs[in.Site]
-		copy(a.Data[base:base+bn], regs[in.X][:bn])
+		lo := base + int(offs[in.Site])
+		copy(arrs[in.Site].Data[lo:lo+bn], regs[in.X][:bn])
 	case cMov:
 		copy(regs[in.Dst][:bn], regs[in.X][:bn])
 	case cTrunc:
@@ -374,8 +412,9 @@ func (m *machine) colStep(in ColIns, regs [][]float64, arrs []*interp.Array, bas
 // engine relies on for memory safety: register/site/imm indices in range,
 // immediate registers never written by the program (a corrupted write
 // could zero a "verified nonzero" divisor), integer division/modulus
-// divisors nonzero constants, and the bound block pure and verifiable as
-// a straight-line chunk.
+// divisors nonzero constants, broadcast sites only broadcast and streamed
+// sites only streamed, and the bound and subscript blocks pure and
+// verifiable as straight-line chunks.
 func validateVecLoops(ch *Chunk, nGlobals, nFuncs int) error {
 	for i, d := range ch.VecLoops {
 		if err := validateVecLoop(ch, d, nGlobals, nFuncs); err != nil {
@@ -425,6 +464,10 @@ func validateVecLoop(ch *Chunk, d *VecLoopDesc, nGlobals, nFuncs int) error {
 			if im.A < 0 || int(im.A) >= nGlobals {
 				return fmt.Errorf("imm %d: global %d out of range [0,%d)", i, im.A, nGlobals)
 			}
+		case vimSite:
+			if im.A < 0 || int(im.A) >= len(d.Sites) || d.Sites[im.A].Index == nil {
+				return fmt.Errorf("imm %d: site %d is not a broadcast site", i, im.A)
+			}
 		default:
 			return fmt.Errorf("imm %d: unknown kind %d", i, im.Kind)
 		}
@@ -445,6 +488,11 @@ func validateVecLoop(ch *Chunk, d *VecLoopDesc, nGlobals, nFuncs int) error {
 		} else if s.A < 0 || int(s.A) >= nGlobals {
 			return fmt.Errorf("site %d: global %d out of range [0,%d)", i, s.A, nGlobals)
 		}
+		if s.Index != nil {
+			if err := validateBlock(ch, s.Index, nGlobals, nFuncs); err != nil {
+				return fmt.Errorf("site %d subscript: %w", i, err)
+			}
+		}
 	}
 	for i, in := range d.Prog {
 		if in.Kind < 0 || in.Kind >= cColCount {
@@ -453,6 +501,9 @@ func validateVecLoop(ch *Chunk, d *VecLoopDesc, nGlobals, nFuncs int) error {
 		info := colInfo[in.Kind]
 		if info.site && (in.Site < 0 || int(in.Site) >= len(d.Sites)) {
 			return fmt.Errorf("prog %d (%s): site %d out of range [0,%d)", i, info.name, in.Site, len(d.Sites))
+		}
+		if info.site && d.Sites[in.Site].Index != nil {
+			return fmt.Errorf("prog %d (%s): site %d is a broadcast site", i, info.name, in.Site)
 		}
 		if info.hasDst {
 			if in.Dst < 0 || in.Dst >= d.NRegs {
@@ -479,25 +530,32 @@ func validateVecLoop(ch *Chunk, d *VecLoopDesc, nGlobals, nFuncs int) error {
 			}
 		}
 	}
-	if len(d.Upper) == 0 {
-		return fmt.Errorf("missing bound block")
-	}
-	for i, in := range d.Upper {
-		switch in.Op {
-		case OpConst, OpLoad, OpLoadG, OpAdd, OpSub, OpMul, OpNeg:
-		default:
-			return fmt.Errorf("bound instr %d: op %s not allowed in a bound block", i, in.Op)
-		}
-	}
-	// The bound block executes through the regular dispatch loop against
-	// the enclosing frame; verify it like a chunk of its own (the shadow
-	// carries no VecLoops, so this cannot recurse).
-	shadow := &Chunk{
-		Name: ch.Name, NumSlots: ch.NumSlots, RefSlots: ch.RefSlots,
-		Code: d.Upper, Consts: ch.Consts, Works: ch.Works, Positions: ch.Positions,
-	}
-	if _, _, err := analyzeChunk(shadow, nGlobals, nFuncs); err != nil {
+	if err := validateBlock(ch, d.Upper, nGlobals, nFuncs); err != nil {
 		return fmt.Errorf("bound block: %w", err)
 	}
 	return nil
+}
+
+// validateBlock holds a bound or subscript mini-block to pure arithmetic
+// over constants and scalar reads. It executes through the regular
+// dispatch loop against the enclosing frame, so it is verified like a
+// chunk of its own (the shadow carries no VecLoops, so this cannot
+// recurse).
+func validateBlock(ch *Chunk, blk []Instr, nGlobals, nFuncs int) error {
+	if len(blk) == 0 {
+		return fmt.Errorf("empty mini-block")
+	}
+	for i, in := range blk {
+		switch in.Op {
+		case OpConst, OpLoad, OpLoadG, OpAdd, OpSub, OpMul, OpNeg:
+		default:
+			return fmt.Errorf("instr %d: op %s not allowed in a mini-block", i, in.Op)
+		}
+	}
+	shadow := &Chunk{
+		Name: ch.Name, NumSlots: ch.NumSlots, RefSlots: ch.RefSlots,
+		Code: blk, Consts: ch.Consts, Works: ch.Works, Positions: ch.Positions,
+	}
+	_, _, err := analyzeChunk(shadow, nGlobals, nFuncs)
+	return err
 }

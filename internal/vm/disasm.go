@@ -45,7 +45,10 @@ func Disassemble(ch *Chunk) string {
 			if s.Local {
 				kind = "local"
 			}
-			fmt.Fprintf(&sb, "vecsite %d %s %d\n", i, kind, s.A)
+			fmt.Fprintf(&sb, "vecsite %d %s %d %d\n", i, kind, s.A, s.Off)
+			for _, in := range s.Index {
+				fmt.Fprintf(&sb, "vecindex %d %s %d %d\n", i, in.Op, in.A, in.B)
+			}
 		}
 		for _, in := range d.Prog {
 			fmt.Fprintf(&sb, "veccol %d %s %d %d %d %d %d\n",
@@ -67,9 +70,9 @@ func b2i(b bool) int {
 	return 0
 }
 
-var vimNames = map[int32]string{vimConst: "const", vimLocal: "local", vimGlobal: "global"}
+var vimNames = map[int32]string{vimConst: "const", vimLocal: "local", vimGlobal: "global", vimSite: "site"}
 
-var vimByName = map[string]int32{"const": vimConst, "local": vimLocal, "global": vimGlobal}
+var vimByName = map[string]int32{"const": vimConst, "local": vimLocal, "global": vimGlobal, "site": vimSite}
 
 var colByName = func() map[string]int32 {
 	m := make(map[string]int32, int(cColCount))
@@ -214,7 +217,7 @@ func Assemble(text string) (*Chunk, error) {
 				}
 			}
 			ch.VecLoops = append(ch.VecLoops, d)
-		case fields[0] == "vecupper":
+		case fields[0] == "vecupper" || fields[0] == "vecindex":
 			d, err := vecAt(ch, fields, 5, ln)
 			if err != nil {
 				return nil, err
@@ -226,9 +229,18 @@ func Assemble(text string) (*Chunk, error) {
 			a, errA := strconv.ParseInt(fields[3], 10, 32)
 			b, errB := strconv.ParseInt(fields[4], 10, 32)
 			if errA != nil || errB != nil {
-				return nil, fmt.Errorf("line %d: malformed vecupper operands", ln+1)
+				return nil, fmt.Errorf("line %d: malformed %s operands", ln+1, fields[0])
 			}
-			d.Upper = append(d.Upper, Instr{Op: op, A: int32(a), B: int32(b)})
+			in := Instr{Op: op, A: int32(a), B: int32(b)}
+			if fields[0] == "vecupper" {
+				d.Upper = append(d.Upper, in)
+			} else if len(d.Sites) == 0 {
+				return nil, fmt.Errorf("line %d: vecindex before any vecsite", ln+1)
+			} else {
+				// A subscript block belongs to the site line right above it.
+				s := &d.Sites[len(d.Sites)-1]
+				s.Index = append(s.Index, in)
+			}
 		case fields[0] == "vecimm":
 			d, err := vecAt(ch, fields, 5, ln)
 			if err != nil {
@@ -245,18 +257,19 @@ func Assemble(text string) (*Chunk, error) {
 			}
 			d.Imms = append(d.Imms, VecImm{Kind: kind, A: int32(a), Dst: int32(dst)})
 		case fields[0] == "vecsite":
-			d, err := vecAt(ch, fields, 4, ln)
+			d, err := vecAt(ch, fields, 5, ln)
 			if err != nil {
 				return nil, err
 			}
 			if fields[2] != "local" && fields[2] != "global" {
 				return nil, fmt.Errorf("line %d: unknown site kind %q", ln+1, fields[2])
 			}
-			a, err := strconv.ParseInt(fields[3], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", ln+1, err)
+			a, errA := strconv.ParseInt(fields[3], 10, 32)
+			off, errO := strconv.ParseInt(fields[4], 10, 32)
+			if errA != nil || errO != nil {
+				return nil, fmt.Errorf("line %d: malformed vecsite operands", ln+1)
 			}
-			d.Sites = append(d.Sites, VecSite{Local: fields[2] == "local", A: int32(a)})
+			d.Sites = append(d.Sites, VecSite{Local: fields[2] == "local", A: int32(a), Off: int32(off)})
 		case fields[0] == "veccol":
 			d, err := vecAt(ch, fields, 8, ln)
 			if err != nil {
@@ -306,7 +319,7 @@ func Assemble(text string) (*Chunk, error) {
 	return ch, nil
 }
 
-// vecAt resolves a vecupper/vecimm/vecsite/veccol line's descriptor:
+// vecAt resolves a vecupper/vecimm/vecsite/vecindex/veccol line's descriptor:
 // sub-lines always follow their vecloop header, so the index must name
 // the most recently opened descriptor.
 func vecAt(ch *Chunk, fields []string, want, ln int) (*VecLoopDesc, error) {

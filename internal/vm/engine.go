@@ -13,6 +13,8 @@ type Engine struct {
 	mod *Module
 	// columnar enables the batched columnar tier for qualifying loops;
 	// the bytecode is identical either way (OpVecLoop is a no-op when off).
+	// Apply turns it on; NewEngine leaves it off, which makes a bare
+	// NewEngine the scalar reference the tier is diffed and timed against.
 	columnar bool
 }
 
@@ -62,17 +64,15 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 
 // Exec modes: the values Apply and the cmds' -exec flag accept.
 const (
-	ExecInterp   = "interp"
-	ExecVM       = "vm"
-	ExecColumnar = "columnar"
+	ExecInterp = "interp"
+	ExecVM     = "vm"
 )
 
 // Apply pins one program's engine from an exec-mode string: "vm" (and "",
-// so every unset Exec setting runs the VM) compiles it to bytecode,
-// "columnar" does the same with the batch tier on, and "interp" keeps the
-// tree-walker.
+// so every unset Exec setting runs the VM) compiles it to bytecode with
+// the columnar batch tier on, and "interp" keeps the tree-walker.
 func Apply(p *interp.Program, mode string) error {
-	bytecode, columnar, err := parseMode(mode)
+	bytecode, err := parseMode(mode)
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func Apply(p *interp.Program, mode string) error {
 	if err != nil {
 		return err
 	}
-	e.columnar = columnar
+	e.columnar = true
 	p.SetEngine(e)
 	return nil
 }
@@ -95,24 +95,21 @@ func CheckExecFlag(mode string) error {
 	if mode == "" {
 		return unknownMode(mode)
 	}
-	_, _, err := parseMode(mode)
+	_, err := parseMode(mode)
 	return err
 }
 
-// parseMode reports whether mode runs bytecode and, if so, whether the
-// columnar tier is on.
-func parseMode(mode string) (bytecode, columnar bool, err error) {
+// parseMode reports whether mode runs bytecode.
+func parseMode(mode string) (bytecode bool, err error) {
 	switch mode {
 	case "", ExecVM:
-		return true, false, nil
-	case ExecColumnar:
-		return true, true, nil
+		return true, nil
 	case ExecInterp:
-		return false, false, nil
+		return false, nil
 	}
-	return false, false, unknownMode(mode)
+	return false, unknownMode(mode)
 }
 
 func unknownMode(mode string) error {
-	return fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
+	return fmt.Errorf("unknown exec mode %q (want %s or %s)", mode, ExecInterp, ExecVM)
 }

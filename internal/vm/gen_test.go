@@ -257,6 +257,9 @@ func (g *progGen) vexpr(v string, arrs []genArr, d int) string {
 // vecLoop emits a loop shaped to pass the columnar qualifier: unit step,
 // element-wise body over a[v] sites, occasionally a ragged bound or a
 // compound store so tails and read-modify-write batches get coverage.
+// About one loop in three is a stencil over a neighbour array (reads at
+// v - 1 and v + 1), and about one in three scales by a broadcast element
+// of it.
 func (g *progGen) vecLoop(depth, d int) {
 	if len(g.loopVars) >= 3 {
 		g.forLoop(depth, d, false)
@@ -280,15 +283,39 @@ func (g *progGen) vecLoop(depth, d int) {
 	if g.r.Intn(4) == 0 {
 		n -= g.r.Intn(3) // ragged vs the block size is fine; stay in bounds
 	}
-	g.line(depth, "for (%s = 0; %s < %d; %s++) {", v, v, n, v)
+	// The neighbour is never the written array, so the loop qualifies. A
+	// stencil runs from 1 to n - 1 so v ± 1 stays in bounds, except now
+	// and then its last trip runs off the end. A broadcast subscript is a
+	// constant or an enclosing loop's counter (which may be out of range).
+	start, extra := 0, ""
+	if nb := g.farrs[g.r.Intn(len(g.farrs))]; nb.name != out.name {
+		switch g.r.Intn(3) {
+		case 0:
+			start = 1
+			if nb.n < n {
+				n = nb.n
+			}
+			if g.r.Intn(4) != 0 {
+				n--
+			}
+			extra = fmt.Sprintf("(%s[%s - 1] - %s[%s + 1]) * %s + ", nb.name, v, nb.name, v, g.flit())
+		case 1:
+			idx := fmt.Sprint(g.r.Intn(nb.n))
+			if len(g.loopVars) > 0 && g.r.Intn(2) == 0 {
+				idx = g.loopVars[0]
+			}
+			extra = fmt.Sprintf("%s[%s] * %s + ", nb.name, idx, g.flit())
+		}
+	}
+	g.line(depth, "for (%s = %d; %s < %d; %s++) {", v, start, v, n, v)
 	g.loopVars = append(g.loopVars, v)
 	if g.r.Intn(3) == 0 {
 		g.line(depth+1, "float tv = %s;", g.vexpr(v, arrs, d-1))
-		g.line(depth+1, "%s[%s] = tv + %s;", out.name, v, g.vexpr(v, arrs, d-1))
+		g.line(depth+1, "%s[%s] = tv + %s%s;", out.name, v, extra, g.vexpr(v, arrs, d-1))
 	} else if g.r.Intn(3) == 0 {
-		g.line(depth+1, "%s[%s] %s %s;", out.name, v, g.pick([]string{"+=", "-=", "*="}), g.vexpr(v, arrs, d-1))
+		g.line(depth+1, "%s[%s] %s %s%s;", out.name, v, g.pick([]string{"+=", "-=", "*="}), extra, g.vexpr(v, arrs, d-1))
 	} else {
-		g.line(depth+1, "%s[%s] = %s;", out.name, v, g.vexpr(v, arrs, d-1))
+		g.line(depth+1, "%s[%s] = %s%s;", out.name, v, extra, g.vexpr(v, arrs, d-1))
 	}
 	g.loopVars = g.loopVars[:len(g.loopVars)-1]
 	g.line(depth, "}")

@@ -95,11 +95,13 @@ type machine struct {
 	// Columnar tier state: colOn gates OpVecLoop (a no-op when false);
 	// colPool holds reusable colBlock-sized columns, colRegs the per-batch
 	// register table (cLoad rebinds entries to array windows), colArrs the
-	// resolved site arrays. All scratch — reused across vector loops.
+	// resolved site arrays and colOffs their subscript offsets. All
+	// scratch — reused across vector loops.
 	colOn   bool
 	colPool [][]float64
 	colRegs [][]float64
 	colArrs []*interp.Array
+	colOffs []int64
 }
 
 // frame holds one nesting level's locals and eval stacks.

@@ -378,9 +378,9 @@ int main(void) {
 	}
 }
 
-// TestApplyModes pins Apply's mode table: "" and every bytecode mode
-// attach a VM engine, "interp" detaches it, and an unknown mode fails
-// without touching the program's engine.
+// TestApplyModes pins Apply's mode table: "" and "vm" attach a VM engine,
+// "interp" detaches it, and an unknown mode (including the retired
+// "columnar") fails without touching the program's engine.
 func TestApplyModes(t *testing.T) {
 	p := interp.MustCompile(`int main(void) { return 0; }`)
 	if p.Engine() != nil {
@@ -389,7 +389,7 @@ func TestApplyModes(t *testing.T) {
 	for _, tc := range []struct {
 		mode   string
 		wantVM bool
-	}{{"", true}, {vm.ExecInterp, false}, {vm.ExecVM, true}, {vm.ExecInterp, false}, {vm.ExecColumnar, true}} {
+	}{{"", true}, {vm.ExecInterp, false}, {vm.ExecVM, true}, {vm.ExecInterp, false}, {vm.ExecVM, true}} {
 		if err := vm.Apply(p, tc.mode); err != nil {
 			t.Fatalf("Apply(%q): %v", tc.mode, err)
 		}
@@ -398,7 +398,9 @@ func TestApplyModes(t *testing.T) {
 		}
 	}
 	before := p.Engine()
-	if err := vm.Apply(p, "jit"); err == nil || p.Engine() != before {
-		t.Fatalf("Apply(\"jit\"): err %v, engine changed %v", err, p.Engine() != before)
+	for _, mode := range []string{"jit", "columnar"} {
+		if err := vm.Apply(p, mode); err == nil || p.Engine() != before {
+			t.Fatalf("Apply(%q): err %v, engine changed %v", mode, err, p.Engine() != before)
+		}
 	}
 }

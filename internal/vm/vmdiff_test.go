@@ -135,24 +135,36 @@ func execProgram(p *interp.Program, setup func(*interp.Program) error, budget in
 	return res
 }
 
-// execSource compiles src and runs it on the requested engine
-// ("interp", "vm", or "columnar"). interp.Compile attaches no engine, so
-// the "interp" reference run is the tree-walker.
-func execSource(t *testing.T, src string, setup func(*interp.Program) error, mode string, budget int64) *runResult {
+// scalarVM labels the differential's middle engine: vm.NewEngine, the
+// bytecode VM with the columnar batch tier off.
+const scalarVM = "scalar"
+
+// attach pins p's engine for one leg of the differential: vm.ExecInterp
+// (the tree-walker), scalarVM, or vm.ExecVM (the VM as vm.Apply builds
+// it, batch tier on).
+func attach(p *interp.Program, engine string) error {
+	if engine != scalarVM {
+		return vm.Apply(p, engine)
+	}
+	e, err := vm.NewEngine(p)
+	if err != nil {
+		return err
+	}
+	p.SetEngine(e)
+	return nil
+}
+
+// execSource compiles src and runs it on one engine (see attach).
+func execSource(t *testing.T, src string, setup func(*interp.Program) error, engine string, budget int64) *runResult {
 	t.Helper()
 	p, err := interp.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := vm.Apply(p, mode); err != nil {
-		t.Fatalf("%s attach: %v", mode, err)
+	if err := attach(p, engine); err != nil {
+		t.Fatalf("%s attach: %v", engine, err)
 	}
 	return execProgram(p, setup, budget)
-}
-
-func compareRuns(t *testing.T, ref, got *runResult) {
-	t.Helper()
-	compareRunsAs(t, ref, got, "vm")
 }
 
 func compareRunsAs(t *testing.T, ref, got *runResult, label string) {
@@ -206,13 +218,13 @@ func firstDiffLine(a, b string) string {
 	return ""
 }
 
-// diffRun executes src on the tree-walker, the scalar VM, and the
-// columnar VM, requiring all three bit-identical.
+// diffRun executes src on the tree-walker, the scalar VM, and the VM
+// with its batch tier, requiring all three bit-identical.
 func diffRun(t *testing.T, src string, setup func(*interp.Program) error, budget int64) {
 	t.Helper()
 	ref := execSource(t, src, setup, vm.ExecInterp, budget)
-	compareRunsAs(t, ref, execSource(t, src, setup, vm.ExecVM, budget), "vm")
-	compareRunsAs(t, ref, execSource(t, src, setup, vm.ExecColumnar, budget), "columnar")
+	compareRunsAs(t, ref, execSource(t, src, setup, scalarVM, budget), scalarVM)
+	compareRunsAs(t, ref, execSource(t, src, setup, vm.ExecVM, budget), vm.ExecVM)
 }
 
 // TestVMDiffWorkloads runs every MiniC workload through both engines: the

@@ -190,8 +190,8 @@ type RunOptions struct {
 	// Config overrides the platform (zero value = DefaultConfig).
 	Config *runtime.Config
 	// Exec picks the execution engine for the compiled program (see
-	// vm.Apply): "" or vm.ExecVM compiles it to bytecode, vm.ExecColumnar
-	// adds the batch tier, vm.ExecInterp keeps the tree-walker.
+	// vm.Apply): "" or vm.ExecVM compiles it to bytecode with the columnar
+	// batch tier, vm.ExecInterp keeps the tree-walker.
 	Exec string
 }
 
